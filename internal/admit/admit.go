@@ -37,28 +37,27 @@
 // two map entries. The batch admission path (AdmitBatch, batch.go) rides
 // the same structure to ramp large populations transactionally.
 //
-// # Concurrency: optimistic analysis, per-node epochs, group commit
+// # Concurrency: one transaction engine
 //
-// State is sharded by node with per-shard locks so residual-curve queries
-// never contend with each other. Every node carries its own epoch,
-// advanced whenever its hosted reservation set changes. The expensive part
-// of an admission — the candidate analysis and the victim sweep — runs
-// under the registry *read* lock against an epoch-stamped snapshot,
-// recording the epoch of every node it reads (the candidate's path plus
-// the path of every analyzed victim class); a short validate-and-commit
-// write section then re-checks exactly those epochs and commits, retrying
-// the sweep on conflict — re-analyzing only classes whose node epochs
-// actually moved — and falling back to the fully write-locked classic path
-// after bounded retries. Only analyzed states ever commit: a conflicted
-// retry re-analyzes rather than assuming the bounds are monotone in cross
+// Admit, a group of concurrent Admit callers, and AdmitBatch are
+// transactions of 1, k and n candidates through one engine (txn.go). State
+// is sharded by node with per-shard locks so residual-curve queries never
+// contend with each other, and every node carries its own epoch, advanced
+// whenever its hosted reservation set changes. A transaction evaluates its
+// candidates under the registry *read* lock against an epoch-stamped
+// snapshot, pinning the epoch of every node it reads; a short write-locked
+// section then re-checks exactly those epochs and commits. On a conflict
+// the round re-runs — re-analyzing only classes whose node epochs moved —
+// and its last attempt runs under the write lock. Only analyzed states
+// ever commit; a retry never assumes the bounds are monotone in cross
 // traffic (the job-aggregation cliff breaks monotonicity).
 //
 // Concurrent Admit/Release callers coalesce through a group-commit
-// combiner (group.go): one caller at a time becomes the leader, drains the
-// queue, commits pending releases first, and decides the queued admissions
-// as one transactional group — a single sweep amortized over every waiting
-// caller, which is what turns k concurrent clients into ~k× admission
-// throughput even on one core.
+// combiner (group.go): one caller at a time becomes the leader, takes one
+// snapshot of the queue, commits its releases first, and decides its
+// admissions as one transaction — a single sweep amortized over every
+// waiting caller, which is what turns k concurrent clients into ~k×
+// admission throughput even on one core.
 //
 // Verdict rejections are cached keyed by (arrival-envelope digest, path,
 // SLO, analysis rung) — curve digests rather than spec hashes, so two specs
@@ -71,9 +70,11 @@
 package admit
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -216,59 +217,49 @@ type shard struct {
 	nflows  int          // total members hosted (sum of entry counts)
 }
 
-// insert adds m members of class k reserving bucket b each. Callers must
-// hold the shard write lock.
-func (s *shard) insert(k verdictKey, b core.Bucket, m int) {
+// insert adds one member of class k reserving bucket b and advances the
+// node epoch. Callers hold the registry write lock.
+func (s *shard) insert(k verdictKey, b core.Bucket) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if e, ok := s.classes[k]; ok {
-		e.n += m
+		e.n++
 	} else {
 		i := sort.Search(len(s.keys), func(i int) bool { return !keyLess(s.keys[i], k) })
-		s.keys = append(s.keys, verdictKey{})
-		copy(s.keys[i+1:], s.keys[i:])
-		s.keys[i] = k
-		s.classes[k] = &shardEntry{b: b, n: m}
+		s.keys = slices.Insert(s.keys, i, k)
+		s.classes[k] = &shardEntry{b: b, n: 1}
 	}
-	s.nflows += m
+	s.nflows++
+	s.epoch.Add(1)
 }
 
-// remove drops m members of class k. Callers must hold the shard write lock.
-func (s *shard) remove(k verdictKey, m int) {
+// remove drops one member of class k and advances the node epoch. Callers
+// hold the registry write lock.
+func (s *shard) remove(k verdictKey) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.classes[k]
 	if !ok {
 		return
 	}
-	e.n -= m
-	s.nflows -= m
+	e.n--
+	s.nflows--
 	if e.n <= 0 {
 		delete(s.classes, k)
 		i := sort.Search(len(s.keys), func(i int) bool { return !keyLess(s.keys[i], k) })
 		if i < len(s.keys) && s.keys[i] == k {
-			s.keys = append(s.keys[:i], s.keys[i+1:]...)
+			s.keys = slices.Delete(s.keys, i, i+1)
 		}
 	}
+	s.epoch.Add(1)
 }
 
-// aggregate sums the reserved buckets of hosted members in sorted class
-// order — per class one multiply (bucket × count), so the cost is
-// O(classes) regardless of how many flows the node hosts, and the result is
-// a deterministic function of the admitted population. excludeN members of
-// class exclude are left out (0 means none). Callers must hold the shard
-// lock (any mode) or the registry lock.
-func (s *shard) aggregate(exclude verdictKey, excludeN int) core.Bucket {
-	var b core.Bucket
-	for _, k := range s.keys {
-		e := s.classes[k]
-		n := e.n
-		if excludeN > 0 && k == exclude {
-			n -= excludeN
-		}
-		if n <= 0 {
-			continue
-		}
-		b.Rate += e.b.Rate * units.Rate(n)
-		b.Burst += e.b.Burst * units.Bytes(n)
-	}
-	return b
+// load sums every hosted reservation and counts the hosted members under
+// the shard lock alone.
+func (s *shard) load() (core.Bucket, int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return noHyp.aggregate(s, verdictKey{}, false), s.nflows
 }
 
 // classState is one admitted flow class: the shared spec, reservation, the
@@ -282,10 +273,11 @@ type classState struct {
 	verdict Verdict                // latest admission verdict, FlowID blank
 	ids     map[string]struct{}    // member flow IDs
 
-	// minID caches the lexicographically smallest member for victim-naming;
-	// recomputed lazily after the minimum is released.
-	minID    string
-	minValid bool
+	// min caches the lexicographically smallest member for victim naming;
+	// nil once that member leaves, until a reader rescans. Readers under the
+	// registry read lock may refill it concurrently (with the same value),
+	// hence the atomic.
+	min atomic.Pointer[string]
 }
 
 // flowFor reconstructs the admit.Flow of member id. The rung is the
@@ -295,40 +287,37 @@ func (cs *classState) flowFor(id string) Flow {
 	return Flow{ID: id, Arrival: cs.arrival, Path: cs.path, SLO: cs.slo, Rung: cs.key.rung}
 }
 
+// addID registers a member. Callers hold the registry write lock.
 func (cs *classState) addID(id string) {
 	cs.ids[id] = struct{}{}
-	if !cs.minValid || id < cs.minID {
-		// A smaller id keeps the cache exact; when invalid it stays invalid
-		// unless this is the only member.
-		if cs.minValid || len(cs.ids) == 1 {
-			cs.minID, cs.minValid = id, true
-		} else if id < cs.minID {
-			cs.minID = id
-		}
+	// An unknown minimum stays unknown unless id is the only member.
+	if m := cs.min.Load(); len(cs.ids) == 1 || (m != nil && id < *m) {
+		cs.min.Store(&id)
 	}
 }
 
+// removeID drops a member. Callers hold the registry write lock.
 func (cs *classState) removeID(id string) {
 	delete(cs.ids, id)
-	if cs.minValid && id == cs.minID {
-		cs.minValid = false
+	if m := cs.min.Load(); m != nil && *m == id {
+		cs.min.Store(nil)
 	}
 }
 
-// representative returns the smallest member ID (for victim-naming in
-// rejection reasons), rescanning only when the cached minimum was released.
+// representative returns the smallest member ID, rescanning only after the
+// cached minimum left. Callers hold the registry lock (either mode).
 func (cs *classState) representative() string {
-	if !cs.minValid {
-		first := true
-		for id := range cs.ids {
-			if first || id < cs.minID {
-				cs.minID = id
-				first = false
-			}
-		}
-		cs.minValid = len(cs.ids) > 0
+	if m := cs.min.Load(); m != nil {
+		return *m
 	}
-	return cs.minID
+	var m string
+	for id := range cs.ids {
+		if m == "" || id < m {
+			m = id
+		}
+	}
+	cs.min.Store(&m)
+	return m
 }
 
 // Controller is a concurrent-safe admission controller over one platform.
@@ -353,16 +342,14 @@ type Controller struct {
 	// per-node (shard.epoch).
 	epoch atomic.Uint64
 
-	// Group-commit combiner (group.go): concurrent Admit/Release callers
-	// enqueue tickets; one caller at a time becomes the leader, drains the
-	// queue, and decides the whole group in a single read-locked sweep with
-	// one validate-and-commit write section.
+	// Group-commit combiner (group.go): one caller at a time leads, taking
+	// one snapshot of the queue and deciding it as one transaction.
 	qmu       sync.Mutex
 	queue     []*ticket
 	leaderSem chan struct{}
 
 	// conflicts counts validate-and-commit sections that found a stale
-	// node epoch and had to retry (or fall back to the write-locked path).
+	// node epoch and had to retry.
 	conflicts atomic.Uint64
 
 	// memo caches whole-pipeline analyses across admission probes (the same
@@ -483,7 +470,7 @@ func (c *Controller) NodeEpochs() map[string]uint64 {
 
 // CommitConflicts returns the cumulative count of optimistic
 // validate-and-commit sections that observed a stale node epoch and had to
-// retry or fall back.
+// retry.
 func (c *Controller) CommitConflicts() uint64 { return c.conflicts.Load() }
 
 // NodeNames returns the platform node names in declaration order.
@@ -523,56 +510,51 @@ func (c *Controller) Admit(f Flow) Verdict {
 }
 
 func (c *Controller) admit(f Flow, tr *decTrace) Verdict {
-	epoch := c.epoch.Load()
 	// Spec and identity checks run before the cache probe: the verdict cache
 	// is keyed on curves, not IDs, so ID problems (and arrivals too malformed
 	// to build a curve from) must never reach it.
-	if v, bad := c.precheck(f, epoch); bad {
+	v, bad := c.precheck(f, c.epoch.Load())
+	if bad {
 		tr.mark(PhasePrecheck)
 		return v
 	}
 	key := c.keyFor(f)
-	if v, ok := c.cachedVerdict(key); ok {
+	v, hit := c.cachedVerdict(key)
+	tr.mark(PhasePrecheck)
+	if hit {
 		// The cached verdict is ID-independent; stamp the asking flow's ID.
 		v.FlowID = f.ID
-		tr.mark(PhasePrecheck)
 		return v
 	}
-	tr.mark(PhasePrecheck)
 	// Hand the decision to the group-commit combiner (group.go): an
-	// uncontended caller becomes the leader and decides immediately via the
-	// optimistic read-locked path; under concurrency, queued admissions are
-	// analyzed together so one victim sweep serves the whole group.
-	return c.submit(&ticket{kind: tkAdmit, f: f, key: key, tr: tr}).v
+	// uncontended caller becomes the leader and decides at once; under
+	// concurrency, queued admissions are decided as one transaction so one
+	// victim sweep serves the whole group.
+	return c.submit(&ticket{f: f, key: key, tr: tr}).v
 }
 
-// commit registers flow f (already decided admissible) under class key and
-// advances the epoch of every node the reservation touches. Callers must
-// hold the registry write lock.
-func (c *Controller) commit(key verdictKey, f Flow, contrib map[string]core.Bucket, v Verdict) {
-	cs, ok := c.classes[key]
+// commit registers candidate cd (already decided admissible with verdict
+// v) and advances the epoch of every node its reservation touches. Callers
+// must hold the registry write lock.
+func (c *Controller) commit(cd cand, v Verdict) {
+	cs, ok := c.classes[cd.key]
 	if !ok {
 		cs = &classState{
-			key:     key,
-			arrival: f.Arrival,
-			path:    append([]string(nil), f.Path...),
-			slo:     f.SLO,
-			contrib: contrib,
+			key:     cd.key,
+			arrival: cd.f.Arrival,
+			path:    append([]string(nil), cd.f.Path...),
+			slo:     cd.f.SLO,
+			contrib: cd.contrib,
 			ids:     make(map[string]struct{}),
 		}
-		c.classes[key] = cs
+		c.classes[cd.key] = cs
 	}
-	cs.addID(f.ID)
-	tv := v
-	tv.FlowID = "" // the stored template is ID-independent
-	cs.verdict = tv
-	c.flows[f.ID] = cs
-	for name, b := range contrib {
-		sh := c.shards[name]
-		sh.mu.Lock()
-		sh.insert(key, b, 1)
-		sh.mu.Unlock()
-		sh.epoch.Add(1)
+	cs.addID(cd.f.ID)
+	v.FlowID = "" // the stored template is ID-independent
+	cs.verdict = v
+	c.flows[cd.f.ID] = cs
+	for name, b := range cd.contrib {
+		c.shards[name].insert(cd.key, b)
 	}
 }
 
@@ -600,13 +582,18 @@ func (c *Controller) precheck(f Flow, epoch uint64) (v Verdict, bad bool) {
 	if err := f.Arrival.Validate(); err != nil {
 		return reject("spec", "%v", err)
 	}
-	c.mu.RLock()
-	_, dup := c.flows[f.ID]
-	c.mu.RUnlock()
-	if dup {
+	if c.admitted(f.ID) {
 		return reject("spec", "flow %q is already admitted", f.ID)
 	}
 	return v, false
+}
+
+// admitted reports whether id is registered.
+func (c *Controller) admitted(id string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, ok := c.flows[id]
+	return ok
 }
 
 // keyFor builds the ID-independent cache key for f. The arrival must have
@@ -619,121 +606,6 @@ func (c *Controller) keyFor(f Flow) verdictKey {
 		slo:   f.SLO,
 		rung:  c.rungFor(f),
 	}
-}
-
-// decide runs all admission checks without mutating state, returning the
-// verdict and (when admitted) the reservation to commit. The registry lock
-// must be held — the write lock on the classic path (sw == nil), or the
-// read lock on the optimistic path, where sw records every node whose state
-// the analysis read (the dependency closure: the candidate's path plus the
-// path of every victim class analyzed) so the commit section can validate
-// the snapshot against the per-node epochs. Precheck must have passed.
-// Rejection reasons never mention the candidate's ID: they are cached and
-// replayed for any flow with the same curves, path, and SLO.
-func (c *Controller) decide(f Flow, epoch uint64, sw *sweep, tr *decTrace) (Verdict, map[string]core.Bucket) {
-	v := Verdict{FlowID: f.ID, Epoch: epoch, Rung: c.rungFor(f).String()}
-	// phase is what a rejection return attributes the elapsed time to; it
-	// flips to the victim-sweep phase when the victim loop starts.
-	phase := PhaseAnalysis
-	reject := func(binding, format string, args ...any) (Verdict, map[string]core.Bucket) {
-		v.Admitted = false
-		v.Binding = binding
-		v.Reason = "rejected: " + fmt.Sprintf(format, args...)
-		tr.mark(phase)
-		return v, nil
-	}
-
-	if _, dup := c.flows[f.ID]; dup {
-		// Re-check under the lock (precheck ran before it).
-		return reject("spec", "flow %q is already admitted", f.ID)
-	}
-
-	// Standalone reservation: the flow's propagated arrival bound at each
-	// path node on the pristine platform (no co-resident reservations), so
-	// the reservation is a deterministic function of (flow, platform).
-	// Errors here are spec errors (bad arrival, starved platform node, ...).
-	contrib, err := c.reservationFor(f)
-	if err != nil {
-		return reject("spec", "%v", err)
-	}
-
-	sw.addPath(c, f.Path)
-
-	// Candidate analysis under the current co-resident cross traffic.
-	// Saturation (aggregate cross >= node rate) surfaces as an Analyze
-	// validation error.
-	a, err := core.AnalyzeMemo(c.pipelineFor(f, nil), c.memo)
-	if err != nil {
-		return reject("saturation", "%v", err)
-	}
-	tr.noteRungSearch(a.TightCombos, a.TightPruned)
-	b := boundsOf(a)
-	if bad := sloViolation(f.SLO, a, b); bad != nil {
-		return reject(bad.binding, "%s", bad.detail)
-	}
-
-	// Victim check: every admitted class sharing a node must keep its SLO
-	// with the candidate's reservation added as cross traffic. One analysis
-	// covers every member of a class — they are interchangeable. On a
-	// conflict retry, classes whose node epochs are unchanged since the
-	// previous attempt analyzed them are reused without re-analysis: the
-	// sweep is scoped to the classes whose aggregates actually changed.
-	tr.mark(PhaseAnalysis)
-	phase = PhaseVictimSweep
-	for _, k := range c.sortedClassKeys() {
-		cs := c.classes[k]
-		if !sharesNode(cs.path, f.Path) {
-			continue
-		}
-		if sw.victimOK(c, k, cs.path) {
-			tr.noteReuse()
-			continue
-		}
-		tr.noteVictim()
-		// Victims are re-analyzed at their own admitted rung, not the
-		// candidate's: a tight-rung candidate must not loosen (or tighten)
-		// the promises already made to blind-rung classes.
-		p := c.buildPipeline(cs.arrival, cs.path, k.rung, k, 1, contrib)
-		ga, err := core.AnalyzeMemo(p, c.memo)
-		if err != nil {
-			return reject("victim:"+cs.representative(),
-				"admitting this flow would starve flow %q: %v", cs.representative(), err)
-		}
-		tr.noteRungSearch(ga.TightCombos, ga.TightPruned)
-		if bad := sloViolation(cs.slo, ga, boundsOf(ga)); bad != nil {
-			return reject("victim:"+cs.representative(),
-				"admitting this flow would break flow %q: %s", cs.representative(), bad.detail)
-		}
-		sw.recordVictim(c, k, cs.path)
-	}
-	tr.mark(PhaseVictimSweep)
-
-	// Admitted: promised bounds, bottleneck, and residual headroom with
-	// the candidate's own reservation counted.
-	v.Admitted = true
-	v.Delay = b.delay
-	v.Backlog = b.backlog
-	v.Throughput = b.throughput
-	bn := f.Path[a.BottleneckIndex]
-	v.Bottleneck = bn
-	sh := c.shards[bn]
-	agg := sh.aggregate(verdictKey{}, 0)
-	v.HeadroomRate = sh.node.Rate - sh.node.CrossRate - agg.Rate - contrib[bn].Rate
-	v.Reason = fmt.Sprintf(
-		"admitted: delay %v <= %s, backlog %v <= %s, throughput %v >= %s; bottleneck %s, residual headroom %v",
-		b.delay, orAny(f.SLO.MaxDelay > 0, f.SLO.MaxDelay),
-		b.backlog, orAny(f.SLO.MaxBacklog > 0, f.SLO.MaxBacklog),
-		b.throughput, orAny(f.SLO.MinThroughput > 0, f.SLO.MinThroughput),
-		bn, v.HeadroomRate)
-	return v, contrib
-}
-
-// orAny renders an SLO field, or "(any)" when unconstrained.
-func orAny(constrained bool, v any) string {
-	if !constrained {
-		return "(any)"
-	}
-	return fmt.Sprint(v)
 }
 
 // reservationFrom converts a standalone analysis into per-node leaky-bucket
@@ -761,38 +633,39 @@ func reservationFrom(f Flow, a *core.Analysis) map[string]core.Bucket {
 	return out
 }
 
-// reservationFor returns f's standalone per-node reservation, cached on
-// (envelope digest, path, rung) — flow-ID- and epoch-independent, since the
-// standalone propagation only sees the pristine platform. The rung matters
-// when nodes carry static background cross traffic: a tighter rung yields a
-// tighter (still sound) propagated bound, hence a smaller downstream
-// reservation. The returned map is shared across cache hits and must be
-// treated as read-only (all callers are).
-func (c *Controller) reservationFor(f Flow) (map[string]core.Bucket, error) {
-	key := verdictKey{
-		alpha: f.Arrival.Envelope().Digest(),
-		lmax:  f.Arrival.MaxPacket,
-		path:  strings.Join(f.Path, "\x00"),
-		rung:  c.rungFor(f),
-	}
-	c.resMu.Lock()
-	contrib, ok := c.resCache[key]
-	c.resMu.Unlock()
-	if ok {
+// reservationFor returns candidate cd's standalone per-node reservation,
+// cached on its class key without the SLO (envelope digest, path, rung) —
+// flow-ID- and epoch-independent, since the standalone propagation only
+// sees the pristine platform. The rung matters when nodes carry static
+// background cross traffic: a tighter rung yields a tighter (still sound)
+// propagated bound, hence a smaller downstream reservation. The returned
+// map is shared across cache hits and must be treated as read-only (all
+// callers are).
+func (c *Controller) reservationFor(cd cand) (map[string]core.Bucket, error) {
+	key := cd.key
+	key.slo = SLO{}
+	if contrib, ok := c.cachedReservation(key); ok {
 		return contrib, nil
 	}
-	standalone, err := core.AnalyzeMemo(c.standalonePipeline(f), c.memo)
+	standalone, err := core.AnalyzeMemo(c.standalonePipeline(cd.f), c.memo)
 	if err != nil {
 		return nil, err
 	}
-	contrib = reservationFrom(f, standalone)
+	contrib := reservationFrom(cd.f, standalone)
 	c.resMu.Lock()
+	defer c.resMu.Unlock()
 	if len(c.resCache) >= 4096 {
 		c.resCache = make(map[verdictKey]map[string]core.Bucket)
 	}
 	c.resCache[key] = contrib
-	c.resMu.Unlock()
 	return contrib, nil
+}
+
+func (c *Controller) cachedReservation(key verdictKey) (map[string]core.Bucket, bool) {
+	c.resMu.Lock()
+	defer c.resMu.Unlock()
+	contrib, ok := c.resCache[key]
+	return contrib, ok
 }
 
 // standalonePipeline builds f's pipeline over the pristine platform: only
@@ -805,44 +678,6 @@ func (c *Controller) standalonePipeline(f Flow) core.Pipeline {
 		p.Nodes = append(p.Nodes, c.shards[name].node)
 	}
 	return p
-}
-
-// buildPipeline builds a pipeline for (arrival, path) over the platform at
-// the given analysis rung, with cross traffic at each node = the node's
-// static background + the hosted reservations minus excludeN members of
-// class exclude + extra (a candidate's reservation during victim checks).
-// The name is ID-independent (see standalonePipeline). Callers must hold
-// the registry lock.
-func (c *Controller) buildPipeline(arrival core.Arrival, path []string, rung core.Rung, exclude verdictKey, excludeN int, extra map[string]core.Bucket) core.Pipeline {
-	p := core.Pipeline{Name: c.name + "/shared", Arrival: arrival, Rung: rung}
-	for _, name := range path {
-		sh := c.shards[name]
-		n := sh.node
-		agg := sh.aggregate(exclude, excludeN)
-		n.CrossRate += agg.Rate
-		n.CrossBurst += agg.Burst
-		if extra != nil {
-			if b, ok := extra[name]; ok {
-				n.CrossRate += b.Rate
-				n.CrossBurst += b.Burst
-			}
-		}
-		p.Nodes = append(p.Nodes, n)
-	}
-	return p
-}
-
-// pipelineFor builds the core pipeline for flow f over the platform. When f
-// is itself admitted, its own reservation is excluded from the cross
-// traffic (one member of its class); extra adds a candidate's reservation
-// during victim checks. Callers must hold the registry lock.
-func (c *Controller) pipelineFor(f Flow, extra map[string]core.Bucket) core.Pipeline {
-	var exclude verdictKey
-	excludeN := 0
-	if cs, ok := c.flows[f.ID]; ok {
-		exclude, excludeN = cs.key, 1
-	}
-	return c.buildPipeline(f.Arrival, f.Path, c.rungFor(f), exclude, excludeN, extra)
 }
 
 // bounds are the end-to-end figures admission checks and verdicts promise.
@@ -908,30 +743,6 @@ func sloViolation(s SLO, a *core.Analysis, b bounds) *sloCheck {
 	return nil
 }
 
-// sharesNode reports whether two paths visit a common node.
-func sharesNode(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// sortedClassKeys returns the admitted class keys in keyLess order — the
-// deterministic victim-check iteration order. Callers must hold the
-// registry lock.
-func (c *Controller) sortedClassKeys() []verdictKey {
-	keys := make([]verdictKey, 0, len(c.classes))
-	for k := range c.classes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
-}
-
 // sortedFlowIDs returns every admitted flow ID in sorted order. O(n log n):
 // reserved for snapshot queries (Flows, RevalidateAll), never the admission
 // hot path. Callers must hold the registry lock.
@@ -963,7 +774,7 @@ func (c *Controller) release(id string, tr *decTrace) bool {
 	// underneath the analysis, and each drain cycle commits them first so
 	// admissions are decided against the freshest state.
 	tr.mark(PhasePrecheck)
-	return c.submit(&ticket{kind: tkRelease, id: id, tr: tr}).ok
+	return c.submit(&ticket{rel: true, id: id, tr: tr}).ok
 }
 
 // releaseLocked removes an admitted flow, freeing its reservations and
@@ -975,11 +786,7 @@ func (c *Controller) releaseLocked(id string) bool {
 		return false
 	}
 	for name := range cs.contrib {
-		sh := c.shards[name]
-		sh.mu.Lock()
-		sh.remove(cs.key, 1)
-		sh.mu.Unlock()
-		sh.epoch.Add(1)
+		c.shards[name].remove(cs.key)
 	}
 	cs.removeID(id)
 	if len(cs.ids) == 0 {
@@ -1021,21 +828,16 @@ func (c *Controller) Flows() []AdmittedFlow {
 // cheap, simulation-free sibling of RevalidateAll, suitable for sustained
 // churn. The verdict's Admitted field reports whether the SLO still holds.
 func (c *Controller) Recheck(id string) (Verdict, error) {
-	c.mu.RLock()
-	cs, ok := c.flows[id]
-	if !ok {
-		c.mu.RUnlock()
+	f, a, epoch, err := c.analyzeAdmitted(id)
+	if errors.Is(err, errNotAdmitted) {
 		return Verdict{}, fmt.Errorf("admit: recheck: flow %q not admitted", id)
 	}
-	f := cs.flowFor(id)
-	a, err := core.AnalyzeMemo(c.pipelineFor(f, nil), c.memo)
-	epoch := c.epoch.Load()
-	c.mu.RUnlock()
-	if err != nil {
-		return Verdict{FlowID: id, Epoch: epoch, Binding: "saturation", Rung: f.Rung.String(),
-			Reason: fmt.Sprintf("recheck: %v", err)}, nil
-	}
 	v := Verdict{FlowID: id, Epoch: epoch, Rung: f.Rung.String()}
+	if err != nil {
+		v.Binding = "saturation"
+		v.Reason = fmt.Sprintf("recheck: %v", err)
+		return v, nil
+	}
 	b := boundsOf(a)
 	v.Delay, v.Backlog, v.Throughput = b.delay, b.backlog, b.throughput
 	if bad := sloViolation(f.SLO, a, b); bad != nil {
@@ -1046,6 +848,25 @@ func (c *Controller) Recheck(id string) (Verdict, error) {
 	v.Admitted = true
 	v.Reason = "recheck ok"
 	return v, nil
+}
+
+// errNotAdmitted reports a query for a flow ID that is not registered.
+var errNotAdmitted = errors.New("not admitted")
+
+// analyzeAdmitted analyzes admitted flow id under the live registry, its
+// own membership excluded, and returns the flow, the analysis, and the
+// platform epoch it was taken at. err is errNotAdmitted for an unknown id,
+// else the analysis error (saturation).
+func (c *Controller) analyzeAdmitted(id string) (Flow, *core.Analysis, uint64, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	cs, ok := c.flows[id]
+	if !ok {
+		return Flow{}, nil, c.epoch.Load(), errNotAdmitted
+	}
+	f := cs.flowFor(id)
+	a, err := core.AnalyzeMemo(c.ownPipeline(f), c.memo)
+	return f, a, c.epoch.Load(), err
 }
 
 // Residual describes a node's leftover service after all admitted
@@ -1075,21 +896,8 @@ func (c *Controller) ResidualService(node string) (Residual, error) {
 	}
 	r := Residual{Node: sh.node}
 
-	c.mu.RLock()
-	for _, cs := range c.classes {
-		if _, hosted := cs.contrib[node]; !hosted {
-			continue
-		}
-		for id := range cs.ids {
-			r.Flows = append(r.Flows, id)
-		}
-	}
-	c.mu.RUnlock()
-	sort.Strings(r.Flows)
-
-	sh.mu.RLock()
-	agg := sh.aggregate(verdictKey{}, 0)
-	sh.mu.RUnlock()
+	r.Flows = c.hostedFlows(node)
+	agg, _ := sh.load()
 	r.Cross = core.Bucket{
 		Rate:  agg.Rate + sh.node.CrossRate,
 		Burst: agg.Burst + sh.node.CrossBurst,
@@ -1111,14 +919,37 @@ func (c *Controller) ResidualService(node string) (Residual, error) {
 	return r, nil
 }
 
+// hostedFlows lists the admitted flows reserving on node, sorted by ID.
+func (c *Controller) hostedFlows(node string) []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var ids []string
+	for _, cs := range c.classes {
+		if _, hosted := cs.contrib[node]; hosted {
+			for id := range cs.ids {
+				ids = append(ids, id)
+			}
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
 // --- Verdict cache ---------------------------------------------------------
 
-// nodeDep pins one node's epoch as observed during an analysis. A set of
-// nodeDeps is a consistency witness: if every pinned epoch still matches
-// the live shard epoch, no state the analysis read has changed since.
-type nodeDep struct {
-	idx   int
-	epoch uint64
+// pins maps shard index to the node epoch an analysis observed. A pin set
+// is a consistency witness: while every pinned epoch still matches the live
+// shard epoch, no state the analysis read has changed.
+type pins map[int]uint64
+
+// current reports whether every pinned node is still at its pinned epoch.
+func (p pins) current(c *Controller) bool {
+	for idx, e := range p {
+		if c.byIdx[idx].epoch.Load() != e {
+			return false
+		}
+	}
+	return true
 }
 
 // cacheEntry is one cached (rejection) verdict plus the epochs of every
@@ -1127,7 +958,7 @@ type nodeDep struct {
 // nothing.
 type cacheEntry struct {
 	v    Verdict
-	deps []nodeDep
+	deps pins
 }
 
 // cachedVerdict returns a stored verdict whose node dependencies are all
@@ -1136,21 +967,12 @@ type cacheEntry struct {
 // commit.
 func (c *Controller) cachedVerdict(key verdictKey) (Verdict, bool) {
 	c.cacheMu.Lock()
+	defer c.cacheMu.Unlock()
 	e, ok := c.cache[key]
-	c.cacheMu.Unlock()
-	if ok {
-		for _, d := range e.deps {
-			if c.byIdx[d.idx].epoch.Load() != d.epoch {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			// Stale: drop it so the map doesn't accumulate dead entries.
-			c.cacheMu.Lock()
-			delete(c.cache, key)
-			c.cacheMu.Unlock()
-		}
+	if ok && !e.deps.current(c) {
+		// Stale: drop it so the map doesn't accumulate dead entries.
+		delete(c.cache, key)
+		ok = false
 	}
 	if !ok {
 		c.cacheMiss.Add(1)
@@ -1165,7 +987,7 @@ func (c *Controller) cachedVerdict(key verdictKey) (Verdict, bool) {
 // observed (deps, as recorded by the sweep). Node epochs only grow, so a
 // verdict stored against an already-stale snapshot is harmless: the probe
 // validation can never match it again.
-func (c *Controller) storeVerdict(key verdictKey, deps []nodeDep, v Verdict) {
+func (c *Controller) storeVerdict(key verdictKey, deps pins, v Verdict) {
 	v.Cached = false
 	v.FlowID = "" // the stored verdict is ID-independent
 	c.cacheMu.Lock()
@@ -1205,21 +1027,21 @@ type Stats struct {
 // Stats reports cumulative cache counters.
 func (c *Controller) Stats() Stats {
 	var s Stats
-	c.mu.RLock()
-	s.Flows = len(c.flows)
-	s.Classes = len(c.classes)
-	c.mu.RUnlock()
+	s.Flows, s.Classes = c.FlowCount(), c.ClassCount()
 	s.VerdictHits = c.cacheHits.Load()
 	s.VerdictMisses = c.cacheMiss.Load()
-	c.cacheMu.Lock()
-	s.VerdictEntries = len(c.cache)
-	c.cacheMu.Unlock()
+	s.VerdictEntries = lockedLen(&c.cacheMu, c.cache)
 	s.AnalysisHits, s.AnalysisMisses, s.AnalysisEntries = c.memo.Stats()
-	c.resMu.Lock()
-	s.ReservationEntries = len(c.resCache)
-	c.resMu.Unlock()
+	s.ReservationEntries = lockedLen(&c.resMu, c.resCache)
 	s.CurveOps = curve.MemoStats()
 	s.CommitConflicts = c.conflicts.Load()
 	s.EpochMax, s.EpochDistinctNode = c.EpochStats()
 	return s
+}
+
+// lockedLen returns len(m) under mu.
+func lockedLen[K comparable, V any](mu *sync.Mutex, m map[K]V) int {
+	mu.Lock()
+	defer mu.Unlock()
+	return len(m)
 }

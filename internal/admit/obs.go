@@ -2,6 +2,7 @@ package admit
 
 import (
 	"log/slog"
+	"strconv"
 	"sync"
 	"time"
 
@@ -73,6 +74,12 @@ func (m *ctrlObs) snapshot() Stats {
 	m.stMu.Lock()
 	defer m.stMu.Unlock()
 	return m.st
+}
+
+func (m *ctrlObs) setSnapshot(st Stats) {
+	m.stMu.Lock()
+	defer m.stMu.Unlock()
+	m.st = st
 }
 
 // EnableObs wires the controller onto reg with default options — see
@@ -221,9 +228,7 @@ func (s Stats) cacheLayer(layer string) (hits, misses uint64, entries int) {
 func (c *Controller) collect(r *obs.Registry) {
 	m := c.obsm
 	st := c.Stats()
-	m.stMu.Lock()
-	m.st = st
-	m.stMu.Unlock()
+	m.setSnapshot(st)
 
 	set := func(name, help string, v float64, labels ...obs.Label) {
 		r.Gauge(name, help, labels...).Set(v)
@@ -246,13 +251,10 @@ func (c *Controller) collect(r *obs.Registry) {
 	// behind every verdict. Opt-in: one series per node per family.
 	for _, name := range c.order {
 		sh := c.shards[name]
-		sh.mu.RLock()
-		agg := sh.aggregate(verdictKey{}, 0)
+		agg, nflows := sh.load()
 		rate := sh.node.Rate
 		reserved := agg.Rate + sh.node.CrossRate
 		burst := agg.Burst + sh.node.CrossBurst
-		nflows := sh.nflows
-		sh.mu.RUnlock()
 
 		l := obs.Label{Key: "node", Value: name}
 		set("nc_node_epoch", "per-node modification epoch (bumps when the node's aggregate changes)", float64(sh.epoch.Load()), l)
@@ -298,7 +300,7 @@ func (m *ctrlObs) noteDecision(took time.Duration) {
 func (m *ctrlObs) observeDecisionLatency(took time.Duration, seq uint64, flowID string) {
 	secs := took.Seconds()
 	if seq != 0 {
-		labels := []obs.Label{{Key: "decision_seq", Value: itoa(seq)}}
+		labels := []obs.Label{{Key: "decision_seq", Value: strconv.FormatUint(seq, 10)}}
 		if flowID != "" {
 			labels = append(labels, obs.Label{Key: "flow_id", Value: flowID})
 		}

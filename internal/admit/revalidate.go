@@ -71,15 +71,7 @@ type RevalidateReport struct {
 // commit or release regardless of which nodes changed — to detect that; the
 // finer per-node epochs only drive verdict-cache invalidation).
 func (c *Controller) RevalidateAll(opt RevalidateOptions) (*RevalidateReport, error) {
-	c.mu.RLock()
-	epoch := c.epoch.Load()
-	ids := c.sortedFlowIDs()
-	flows := make([]Flow, len(ids))
-	for i, id := range ids {
-		flows[i] = c.flows[id].flowFor(id)
-	}
-	c.mu.RUnlock()
-
+	epoch, flows := c.snapshotFlows()
 	rep := &RevalidateReport{Epoch: epoch, Flows: make([]FlowRevalidation, len(flows))}
 	pm := pool.NewMetrics(opt.Metrics, "revalidate")
 	err := pool.ForEach(opt.Context, opt.Workers, len(flows), pm, func(i int) error {
@@ -104,14 +96,8 @@ func (c *Controller) RevalidateAll(opt RevalidateOptions) (*RevalidateReport, er
 // checked against those bounds and the SLO.
 func (c *Controller) revalidateFlow(f Flow, opt ReplayOptions) (FlowRevalidation, error) {
 	fr := FlowRevalidation{FlowID: f.ID}
-	if opt.Total <= 0 {
-		opt.Total = 8 * units.MiB
-	}
-	if opt.ThroughputSlack <= 0 {
-		opt.ThroughputSlack = 0.05
-	}
 
-	a, err := core.AnalyzeMemo(c.sharedPipelineSnapshot(f), c.memo)
+	a, err := core.AnalyzeMemo(c.lockedPipeline(f), c.memo)
 	if err != nil {
 		return fr, err
 	}
@@ -135,28 +121,23 @@ func (c *Controller) revalidateFlow(f Flow, opt ReplayOptions) (FlowRevalidation
 	return fr, nil
 }
 
-// sharedPipelineSnapshot is the lock-taking sibling of pipelineFor for
-// concurrent readers: it builds f's pipeline with the co-resident cross
-// traffic (excluding f's own reservation) under the read locks each shard
-// needs, instead of assuming the registry write lock.
-func (c *Controller) sharedPipelineSnapshot(f Flow) core.Pipeline {
+// snapshotFlows returns the platform epoch and every admitted flow, sorted
+// by ID.
+func (c *Controller) snapshotFlows() (uint64, []Flow) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var exclude verdictKey
-	excludeN := 0
-	if cs, ok := c.flows[f.ID]; ok {
-		exclude, excludeN = cs.key, 1
+	ids := c.sortedFlowIDs()
+	flows := make([]Flow, len(ids))
+	for i, id := range ids {
+		flows[i] = c.flows[id].flowFor(id)
 	}
-	p := core.Pipeline{Name: c.name + "/shared", Arrival: f.Arrival, Rung: c.rungFor(f)}
-	for _, name := range f.Path {
-		sh := c.shards[name]
-		sh.mu.RLock()
-		n := sh.node
-		agg := sh.aggregate(exclude, excludeN)
-		sh.mu.RUnlock()
-		n.CrossRate += agg.Rate
-		n.CrossBurst += agg.Burst
-		p.Nodes = append(p.Nodes, n)
-	}
-	return p
+	return c.epoch.Load(), flows
+}
+
+// lockedPipeline is ownPipeline for concurrent readers: it takes the
+// registry read lock itself.
+func (c *Controller) lockedPipeline(f Flow) core.Pipeline {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.ownPipeline(f)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"streamcalc/internal/core"
 	"streamcalc/internal/units"
 )
 
@@ -51,22 +50,10 @@ type Tightness struct {
 // its residual service and reports the analytic bounds next to the observed
 // p50/p99/max sojourn and peak backlog. Deterministic per ReplayOptions seed.
 func (c *Controller) Tightness(id string, opt ReplayOptions) (Tightness, error) {
-	if opt.Total <= 0 {
-		opt.Total = 8 * units.MiB
-	}
-	c.mu.RLock()
-	fs, ok := c.flows[id]
-	if !ok {
-		c.mu.RUnlock()
-		return Tightness{}, fmt.Errorf("admit: tightness: flow %q not admitted", id)
-	}
-	f := fs.flowFor(id)
 	// Current analytic bounds: the flow under today's co-resident cross
-	// traffic (the registry read lock excludes commits, so the shard state is
-	// stable). The admission-time verdict may be looser or tighter — flows
+	// traffic. The admission-time verdict may be looser or tighter — flows
 	// admitted or released since then changed the residual service.
-	a, err := core.AnalyzeMemo(c.pipelineFor(f, nil), c.memo)
-	c.mu.RUnlock()
+	f, a, _, err := c.analyzeAdmitted(id)
 	if err != nil {
 		return Tightness{}, fmt.Errorf("admit: tightness: flow %q: %w", id, err)
 	}

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
 	"streamcalc/internal/obs"
@@ -32,7 +33,7 @@ const (
 	PhaseVictimSweep    = "victim_sweep"    // re-checking co-resident classes
 	PhaseValidateCommit = "validate_commit" // write-locked epoch validation + commit
 	PhaseRetry          = "retry"           // post-conflict bookkeeping before re-analysis
-	PhaseFallback       = "fallback"        // write-locked classic decision after retries
+	PhaseFallback       = "fallback"        // final attempt decided under the write lock
 	PhaseHandoff        = "handoff"         // result delivery back to the caller
 )
 
@@ -71,20 +72,17 @@ func (c *Controller) newTrace(kind string) *decTrace {
 	return &decTrace{span: obs.StartSpan(), kind: kind}
 }
 
+// mark closes the current phase. A retry or fallback phase also counts
+// onto the decision's outcome metadata.
 func (tr *decTrace) mark(phase string) {
-	if tr != nil {
-		tr.span.Mark(phase)
+	if tr == nil {
+		return
 	}
-}
-
-func (tr *decTrace) noteRetry() {
-	if tr != nil {
+	tr.span.Mark(phase)
+	switch phase {
+	case PhaseRetry:
 		tr.retries++
-	}
-}
-
-func (tr *decTrace) noteFallback() {
-	if tr != nil {
+	case PhaseFallback:
 		tr.fellBack = true
 	}
 }
@@ -117,14 +115,17 @@ func (tr *decTrace) noteRungSearch(combos, pruned int) {
 	}
 }
 
-// absorb folds a leader's shared group trace (its span phases and victim
-// counters) into this ticket's trace. Called by the leader before the
-// done-channel handoff.
+// absorb folds a leader's shared group trace (its span phases, retry and
+// victim counters, and pinned nodes) into this ticket's trace. Called by
+// the leader before the done-channel handoff.
 func (tr *decTrace) absorb(g *decTrace) {
 	if tr == nil || g == nil {
 		return
 	}
 	tr.span.Absorb(g.span)
+	tr.retries += g.retries
+	tr.fellBack = tr.fellBack || g.fellBack
+	tr.deps = g.deps
 	tr.victims += g.victims
 	tr.reused += g.reused
 	tr.rungCombos += g.rungCombos
@@ -135,7 +136,7 @@ func (tr *decTrace) absorb(g *decTrace) {
 // sorted by name. Callers need no lock: shard names and indices are
 // immutable after New.
 func (tr *decTrace) setDeps(c *Controller, sw *sweep) {
-	if tr == nil || sw == nil || len(sw.deps) == 0 {
+	if tr == nil || len(sw.deps) == 0 {
 		return
 	}
 	out := make([]NodeEpoch, 0, len(sw.deps))
@@ -280,7 +281,7 @@ func (r *FlightRecorder) Trace(limit int) *obs.Trace {
 	}
 	for _, rec := range recs {
 		tid := int64(rec.Seq)
-		name := rec.Kind + " #" + itoa(rec.Seq)
+		name := rec.Kind + " #" + strconv.FormatUint(rec.Seq, 10)
 		if rec.FlowID != "" {
 			name += " " + rec.FlowID
 		}
@@ -307,19 +308,4 @@ func (r *FlightRecorder) Trace(limit int) *obs.Trace {
 			})
 	}
 	return t
-}
-
-// itoa avoids strconv for the one uint64 the trace namer needs.
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

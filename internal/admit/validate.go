@@ -65,12 +65,6 @@ type ReplayReport struct {
 // flow over its path at the residual service the co-resident reservations
 // leave, asserting the promised delay, backlog, and throughput bounds hold.
 func Replay(c *Controller, ops []TraceOp, opt ReplayOptions) (*ReplayReport, error) {
-	if opt.Total <= 0 {
-		opt.Total = 8 * units.MiB
-	}
-	if opt.ThroughputSlack <= 0 {
-		opt.ThroughputSlack = 0.05
-	}
 	rep := &ReplayReport{}
 	for i, op := range ops {
 		step := StepReport{Index: i, Op: op.Op}
@@ -128,6 +122,9 @@ func simulateAdmitted(c *Controller, f Flow, v Verdict, opt ReplayOptions, step 
 // bounds and the flow's SLO, returning the violated dimensions. Shared by
 // the -validate trace replay and the batch revalidation path.
 func boundViolations(v Verdict, s SLO, res *sim.Result, slack float64) []string {
+	if slack <= 0 {
+		slack = 0.05
+	}
 	var out []string
 	if res.DelayMax > v.Delay+time.Microsecond {
 		out = append(out, fmt.Sprintf(
@@ -161,6 +158,9 @@ func boundViolations(v Verdict, s SLO, res *sim.Result, slack float64) []string 
 // residualStages). Shared by the -validate replay and the bound-tightness
 // probe.
 func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, error) {
+	if opt.Total <= 0 {
+		opt.Total = 8 * units.MiB
+	}
 	stages, packet, err := c.residualStages(f)
 	if err != nil {
 		return nil, err
@@ -200,19 +200,12 @@ func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, error)
 // analytic bounds must still dominate every replay observation. It also
 // returns the first node's job size as the default source packet.
 func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var exclude verdictKey
-	excludeN := 0
-	if cs, ok := c.flows[f.ID]; ok {
-		exclude, excludeN = cs.key, 1
-	}
-	rung := c.rungFor(f)
+	p := c.lockedPipeline(f)
 	var thetas []float64
-	if rung != core.RungBlind {
+	if p.Rung != core.RungBlind {
 		// The per-node thetas the flow's analysis committed to. Analysis
 		// errors (saturation) surface as replay errors, as before.
-		a, err := core.AnalyzeMemo(c.pipelineFor(f, nil), c.memo)
+		a, err := core.AnalyzeMemo(p, c.memo)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -222,27 +215,20 @@ func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, err
 		}
 	}
 	var out []sim.StageConfig
-	for i, name := range f.Path {
-		sh := c.shards[name]
-		sh.mu.RLock()
-		node := sh.node
-		agg := sh.aggregate(exclude, excludeN)
-		sh.mu.RUnlock()
-
-		crossRate := node.CrossRate + agg.Rate
-		crossBurst := node.CrossBurst + agg.Burst
+	for i, node := range p.Nodes {
+		cross := curve.Affine(float64(node.CrossRate), float64(node.CrossBurst))
 		// Theta is a time quantity, so the input-referred value from the
 		// analysis carries over to the node-local curves unchanged.
 		full := curve.RateLatency(float64(node.Rate), node.Latency.Seconds())
 		var resid curve.Curve
 		ok := true
 		switch {
-		case crossRate <= 0:
+		case node.CrossRate <= 0:
 			resid = full
 		case thetas != nil && thetas[i] > 0:
-			resid, ok = curve.FIFOResidual(full, curve.Affine(float64(crossRate), float64(crossBurst)), thetas[i])
+			resid, ok = curve.FIFOResidual(full, cross, thetas[i])
 		default:
-			resid, ok = curve.ResidualService(full, curve.Affine(float64(crossRate), float64(crossBurst)))
+			resid, ok = curve.ResidualService(full, cross)
 		}
 		if !ok {
 			return nil, 0, fmt.Errorf("node %s: reservations starve the node", node.Name)
@@ -255,7 +241,7 @@ func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, err
 		cfg.Startup = time.Duration(majorantLatency(resid) * float64(time.Second))
 		out = append(out, cfg)
 	}
-	return out, c.shards[f.Path[0]].node.JobIn, nil
+	return out, p.Nodes[0].JobIn, nil
 }
 
 // majorantLatency returns the latency L of the minimal rate-latency curve
